@@ -656,13 +656,23 @@ pub fn breakpoint_rate_pair(hits: u64, reps: usize) -> (f64, f64) {
 /// Instructions per page of text (fixed 8-byte encoding).
 const INSNS_PER_PAGE: usize = 4096 / 8;
 
+/// Straight-line instructions in the dense-breakpoint loop's compute
+/// body: four pages.
+const DENSE_BODY_INSNS: usize = 4 * INSNS_PER_PAGE;
+
+/// Distinct superblocks the dense loop's text needs at the least: a
+/// trace holds at most [`isa::sblock::SBLOCK_CAP`] instructions and never
+/// crosses a page, so covering the compute body takes this many. A
+/// write that invalidated the whole mapping would rebuild at least this
+/// many every fielding; per-page epochs rebuild only `tick`'s page.
+pub const DENSE_LOOP_BLOCKS: u64 = (DENSE_BODY_INSNS / isa::sblock::SBLOCK_CAP) as u64;
+
 /// Source of the dense-breakpoint workload: `/bin/cruncher`'s shape
 /// (hot compute, `call tick`, repeat) stretched so the compute body is
 /// several pages of straight-line code and `tick` sits alone on its own
 /// page. Every breakpoint fielding writes into `tick`'s page twice
-/// (clear + replant); with per-page text epochs the body's superblocks
-/// survive those writes, with whole-mapping epochs they all die and
-/// rebuild each fielding.
+/// (clear + replant); per-page text epochs let the body's superblocks
+/// survive those writes.
 fn dense_workload_src(body_insns: usize) -> String {
     let mut src = String::from("_start:\n    movi a0, 0\nouter:\n");
     for _ in 0..body_insns {
@@ -680,15 +690,11 @@ fn dense_workload_src(body_insns: usize) -> String {
     src
 }
 
-/// One leg of the dense-breakpoint comparison (E1's metric under E13's
-/// engine): wall-clock breakpoints/sec on the multi-page workload, with
-/// text-epoch invalidation either per-page (the shipped policy) or
-/// coarse whole-mapping (the PR 5 behaviour, kept behind a knob for
-/// exactly this measurement).
+/// The dense-breakpoint measurement (E1's metric under E13's engine):
+/// wall-clock breakpoints/sec on the multi-page workload, plus the
+/// superblock and text-epoch counters the fieldings moved.
 #[derive(Clone, Copy, Debug)]
 pub struct DenseBpPoint {
-    /// Whether whole-mapping (coarse) invalidation was forced.
-    pub coarse: bool,
     /// Fielded breakpoints per wall-clock second.
     pub hits_per_sec: f64,
     /// Superblocks rebuilt during the timed fieldings.
@@ -699,15 +705,12 @@ pub struct DenseBpPoint {
     pub page_epoch_bumps: u64,
 }
 
-/// Measures one dense-breakpoint leg: `hits` fieldings of a breakpoint
-/// on `tick`, fast path on, with `coarse` selecting the invalidation
-/// granularity. The compute body is ~4 pages of straight-line code, so
-/// a coarse leg re-traces every body superblock after each fielding's
-/// clear/replant writes while the per-page leg keeps them warm.
-pub fn dense_breakpoint_point(coarse: bool, hits: u64) -> DenseBpPoint {
-    let (mut sys, ctl) =
-        boot_with_ctl_cfg(ksim::SimConfig::standard().fast_path(true).coarse_epochs(coarse));
-    sys.install_program("/bin/dense", &dense_workload_src(4 * INSNS_PER_PAGE));
+/// Measures `hits` fieldings of a breakpoint on `tick`, fast path on.
+/// The compute body is 4 pages of straight-line code whose superblocks
+/// must stay warm across each fielding's clear/replant writes.
+pub fn dense_breakpoint_point(hits: u64) -> DenseBpPoint {
+    let (mut sys, ctl) = boot_with_ctl_cfg(ksim::SimConfig::standard().fast_path(true));
+    sys.install_program("/bin/dense", &dense_workload_src(DENSE_BODY_INSNS));
     let mut dbg =
         setup(tools::Debugger::launch(&mut sys, ctl, "/bin/dense", &["dense"]), "launch");
     let tick = setup(dbg.sym("tick"), "tick symbol");
@@ -728,7 +731,6 @@ pub fn dense_breakpoint_point(coarse: bool, hits: u64) -> DenseBpPoint {
     let wall_ns = start.elapsed().as_nanos().max(1);
     let after = setup(procfs::PrXStats::capture(&sys.kernel, pid), "xstats");
     DenseBpPoint {
-        coarse,
         hits_per_sec: hits as f64 * 1e9 / wall_ns as f64,
         sblock_built: after.sblock_built - before.sblock_built,
         sblock_stale: after.sblock_stale - before.sblock_stale,
@@ -736,16 +738,13 @@ pub fn dense_breakpoint_point(coarse: bool, hits: u64) -> DenseBpPoint {
     }
 }
 
-/// Both granularities of the dense-breakpoint comparison, best-of-`reps`
-/// wall rate each; counters come from the best rep.
-pub fn dense_breakpoint_pair(hits: u64, reps: usize) -> (DenseBpPoint, DenseBpPoint) {
-    let best = |coarse: bool| {
-        (0..reps.max(1))
-            .map(|_| dense_breakpoint_point(coarse, hits))
-            .max_by(|a, b| a.hits_per_sec.total_cmp(&b.hits_per_sec))
-            .unwrap_or_else(|| unreachable!("reps.max(1) yields at least one rep"))
-    };
-    (best(true), best(false))
+/// The dense-breakpoint measurement, best-of-`reps` wall rate; counters
+/// come from the best rep.
+pub fn dense_breakpoint_best(hits: u64, reps: usize) -> DenseBpPoint {
+    (0..reps.max(1))
+        .map(|_| dense_breakpoint_point(hits))
+        .max_by(|a, b| a.hits_per_sec.total_cmp(&b.hits_per_sec))
+        .unwrap_or_else(|| unreachable!("reps.max(1) yields at least one rep"))
 }
 
 /// One leg of the E14 record-overhead comparison: the same workload

@@ -142,109 +142,102 @@ pub const PIOCMIGSTATS: u32 = 0x502D;
 /// the other `PIOC*` requests.
 pub use vfs::remote::PIOCWIRESTATS;
 
-/// One `PIOC*` request, typed. The single source of truth for a
-/// request's number, name, write requirement, wire shape, hierarchical
-/// control-op twin and reply decoding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Ioctl {
-    /// `PIOCSTATUS`
-    Status,
-    /// `PIOCSTOP`
-    Stop,
-    /// `PIOCWSTOP`
-    WStop,
-    /// `PIOCRUN`
-    Run,
-    /// `PIOCSTRACE`
-    SetSigTrace,
-    /// `PIOCGTRACE`
-    GetSigTrace,
-    /// `PIOCSFAULT`
-    SetFltTrace,
-    /// `PIOCGFAULT`
-    GetFltTrace,
-    /// `PIOCSENTRY`
-    SetEntryTrace,
-    /// `PIOCGENTRY`
-    GetEntryTrace,
-    /// `PIOCSEXIT`
-    SetExitTrace,
-    /// `PIOCGEXIT`
-    GetExitTrace,
-    /// `PIOCGREG`
-    GetRegs,
-    /// `PIOCSREG`
-    SetRegs,
-    /// `PIOCGFPREG`
-    GetFpRegs,
-    /// `PIOCSFPREG`
-    SetFpRegs,
-    /// `PIOCNMAP`
-    NMap,
-    /// `PIOCMAP`
-    Map,
-    /// `PIOCOPENM`
-    OpenMapped,
-    /// `PIOCCRED`
-    GetCred,
-    /// `PIOCGROUPS`
-    Groups,
-    /// `PIOCGETPR`
-    GetProc,
-    /// `PIOCGETU`
-    GetUArea,
-    /// `PIOCPSINFO`
-    GetPsInfo,
-    /// `PIOCKILL`
-    Kill,
-    /// `PIOCUNKILL`
-    UnKill,
-    /// `PIOCSSIG`
-    SetSig,
-    /// `PIOCSHOLD`
-    SetHold,
-    /// `PIOCGHOLD`
-    GetHold,
-    /// `PIOCSFORK`
-    SetForkInherit,
-    /// `PIOCRFORK`
-    ClearForkInherit,
-    /// `PIOCSRLC`
-    SetRunOnLastClose,
-    /// `PIOCRRLC`
-    ClearRunOnLastClose,
-    /// `PIOCSWATCH`
-    SetWatch,
-    /// `PIOCGWATCH`
-    GetWatch,
-    /// `PIOCUSAGE`
-    Usage,
-    /// `PIOCNICE`
-    Nice,
-    /// `PIOCCACHESTATS`
-    CacheStats,
-    /// `PIOCKFAULTSTATS`
-    KFaultStats,
-    /// `PIOCXSTATS`
-    XStats,
-    /// `PIOCWIRESTATS`
-    WireCounters,
-    /// `PIOCRECSTATS`
-    RecStats,
-    /// `PIOCCKPT`
-    Ckpt,
-    /// `PIOCRESTORE`
-    Restore,
-    /// `PIOCMIGRATE`
-    Migrate,
-    /// `PIOCMIGSTATS`
-    MigStats,
+/// Declares [`Ioctl`] from one `Variant = PIOC*` table: the enum, its
+/// [`Ioctl::ALL`] list and the `from_req`/`req`/`name` mappings, so each
+/// request's number, variant and name are written down once.
+macro_rules! ioctl_table {
+    ($($variant:ident = $req:ident,)+) => {
+        /// One `PIOC*` request, typed. The single source of truth for a
+        /// request's number, name, write requirement, wire shape,
+        /// hierarchical control-op twin and reply decoding.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Ioctl {
+            $(#[doc = concat!("`", stringify!($req), "`")] $variant,)+
+        }
+
+        impl Ioctl {
+            /// Every request, in table order.
+            pub const ALL: &'static [Ioctl] = &[$(Ioctl::$variant),+];
+
+            /// Resolves a raw request number.
+            pub fn from_req(req: u32) -> Option<Ioctl> {
+                match req {
+                    $($req => Some(Ioctl::$variant),)+
+                    _ => None,
+                }
+            }
+
+            /// The raw `PIOC*` request number.
+            pub fn req(self) -> u32 {
+                match self {
+                    $(Ioctl::$variant => $req,)+
+                }
+            }
+
+            /// Symbolic name (diagnostics and `truss` decoding).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Ioctl::$variant => stringify!($req),)+
+                }
+            }
+        }
+    };
+}
+
+ioctl_table! {
+    Status = PIOCSTATUS,
+    Stop = PIOCSTOP,
+    WStop = PIOCWSTOP,
+    Run = PIOCRUN,
+    SetSigTrace = PIOCSTRACE,
+    GetSigTrace = PIOCGTRACE,
+    SetFltTrace = PIOCSFAULT,
+    GetFltTrace = PIOCGFAULT,
+    SetEntryTrace = PIOCSENTRY,
+    GetEntryTrace = PIOCGENTRY,
+    SetExitTrace = PIOCSEXIT,
+    GetExitTrace = PIOCGEXIT,
+    GetRegs = PIOCGREG,
+    SetRegs = PIOCSREG,
+    GetFpRegs = PIOCGFPREG,
+    SetFpRegs = PIOCSFPREG,
+    NMap = PIOCNMAP,
+    Map = PIOCMAP,
+    OpenMapped = PIOCOPENM,
+    GetCred = PIOCCRED,
+    Groups = PIOCGROUPS,
+    GetProc = PIOCGETPR,
+    GetUArea = PIOCGETU,
+    GetPsInfo = PIOCPSINFO,
+    Kill = PIOCKILL,
+    UnKill = PIOCUNKILL,
+    SetSig = PIOCSSIG,
+    SetHold = PIOCSHOLD,
+    GetHold = PIOCGHOLD,
+    SetForkInherit = PIOCSFORK,
+    ClearForkInherit = PIOCRFORK,
+    SetRunOnLastClose = PIOCSRLC,
+    ClearRunOnLastClose = PIOCRRLC,
+    SetWatch = PIOCSWATCH,
+    GetWatch = PIOCGWATCH,
+    Usage = PIOCUSAGE,
+    Nice = PIOCNICE,
+    CacheStats = PIOCCACHESTATS,
+    KFaultStats = PIOCKFAULTSTATS,
+    XStats = PIOCXSTATS,
+    WireCounters = PIOCWIRESTATS,
+    RecStats = PIOCRECSTATS,
+    Ckpt = PIOCCKPT,
+    Restore = PIOCRESTORE,
+    Migrate = PIOCMIGRATE,
+    MigStats = PIOCMIGSTATS,
 }
 
 /// One decoded counter family. Every stats-style `PIOC*` reply decodes
-/// into this single type, so tools render any family uniformly and a new
-/// family (the recorder's, in this PR) slots in as a variant instead of
-/// a fifth hand-rolled decode path.
+/// into this single type, so tools render any family uniformly. Each
+/// family's counters are declared once with [`vfs::counter_family!`];
+/// adding a family is one such declaration plus one variant here (and
+/// its request's arm in [`Ioctl::decode_reply`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum StatsReport {
     /// Snapshot-cache counters (`PIOCCACHESTATS`).
@@ -265,12 +258,12 @@ impl StatsReport {
     /// Short family name, for uniform display.
     pub fn family(&self) -> &'static str {
         match self {
-            StatsReport::Cache(_) => "cache",
-            StatsReport::KernelFaults(_) => "kfault",
-            StatsReport::Exec(_) => "exec",
-            StatsReport::Wire(_) => "wire",
-            StatsReport::Recorder(_) => "recorder",
-            StatsReport::Migrate(_) => "migrate",
+            StatsReport::Cache(_) => PrCacheStats::FAMILY,
+            StatsReport::KernelFaults(_) => ksim::kfault::KFaultStats::FAMILY,
+            StatsReport::Exec(_) => PrXStats::FAMILY,
+            StatsReport::Wire(_) => WireStats::FAMILY,
+            StatsReport::Recorder(_) => ksim::RecStats::FAMILY,
+            StatsReport::Migrate(_) => ksim::MigStats::FAMILY,
         }
     }
 
@@ -278,91 +271,12 @@ impl StatsReport {
     /// flattening tools print from, whatever the family.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         match self {
-            StatsReport::Cache(c) => vec![
-                ("hits", c.hits),
-                ("misses", c.misses),
-                ("invalidations", c.invalidations),
-                ("entries", c.entries),
-            ],
-            StatsReport::KernelFaults(f) => vec![
-                ("enomem_vm", f.enomem_vm),
-                ("eagain_fork", f.eagain_fork),
-                ("eagain_spawn", f.eagain_spawn),
-                ("eintr_wait", f.eintr_wait),
-                ("spurious_wakeups", f.spurious_wakeups),
-                ("deaths", f.deaths),
-                ("deaths_mid_op", f.deaths_mid_op),
-            ],
-            StatsReport::Exec(x) => vec![
-                ("enabled", x.enabled),
-                ("tlb_hits", x.tlb_hits),
-                ("tlb_misses", x.tlb_misses),
-                ("tlb_invalidations", x.tlb_invalidations),
-                ("icache_hits", x.icache_hits),
-                ("icache_misses", x.icache_misses),
-                ("icache_invalidations", x.icache_invalidations),
-                ("insns", x.insns),
-                ("tlb_frame_hits", x.tlb_frame_hits),
-                ("page_epoch_bumps", x.page_epoch_bumps),
-                ("sblock_built", x.sblock_built),
-                ("sblock_dispatched", x.sblock_dispatched),
-                ("sblock_insns", x.sblock_insns),
-                ("sblock_exit_end", x.sblock_exit_end),
-                ("sblock_exit_side", x.sblock_exit_side),
-                ("sblock_exit_trap", x.sblock_exit_trap),
-                ("sblock_exit_budget", x.sblock_exit_budget),
-                ("sblock_stale", x.sblock_stale),
-            ],
-            StatsReport::Wire(w) => vec![
-                ("ops", w.ops),
-                ("bytes_sent", w.bytes_sent),
-                ("bytes_received", w.bytes_received),
-                ("unsupported_ioctls", w.unsupported_ioctls),
-                ("frames_sent", w.frames_sent),
-                ("drops", w.drops),
-                ("truncations", w.truncations),
-                ("bitflips", w.bitflips),
-                ("duplicates", w.duplicates),
-                ("delays", w.delays),
-                ("checksum_rejects", w.checksum_rejects),
-                ("retries", w.retries),
-                ("dedup_hits", w.dedup_hits),
-                ("timeouts", w.timeouts),
-                ("sessions_opened", w.sessions_opened),
-                ("sessions_evicted", w.sessions_evicted),
-                ("frames_shed", w.frames_shed),
-                ("in_queue_hwm", w.in_queue_hwm),
-                ("out_queue_hwm", w.out_queue_hwm),
-                ("churn_events", w.churn_events),
-                ("resync_bytes", w.resync_bytes),
-                ("stale_replays", w.stale_replays),
-                ("eagain_rejected", w.eagain_rejected),
-                ("floods", w.floods),
-            ],
-            StatsReport::Recorder(r) => vec![
-                ("inputs", r.inputs),
-                ("steps", r.steps),
-                ("bytes_logged", r.bytes_logged),
-                ("snapshots", r.snapshots),
-                ("replays", r.replays),
-                ("divergences", r.divergences),
-                ("restores", r.restores),
-                ("ckpts", r.ckpts),
-                ("file_saves", r.file_saves),
-                ("file_loads", r.file_loads),
-                ("file_bytes", r.file_bytes),
-                ("file_errors", r.file_errors),
-            ],
-            StatsReport::Migrate(m) => vec![
-                ("begins", m.begins),
-                ("chunks", m.chunks),
-                ("bytes", m.bytes),
-                ("dup_chunks", m.dup_chunks),
-                ("commits", m.commits),
-                ("aborts", m.aborts),
-                ("digest_mismatches", m.digest_mismatches),
-                ("resumes", m.resumes),
-            ],
+            StatsReport::Cache(c) => c.counters(),
+            StatsReport::KernelFaults(f) => f.counters(),
+            StatsReport::Exec(x) => x.counters(),
+            StatsReport::Wire(w) => w.counters(),
+            StatsReport::Recorder(r) => r.counters(),
+            StatsReport::Migrate(m) => m.counters(),
         }
     }
 
@@ -415,8 +329,8 @@ pub enum IoctlPayload {
     Watches(Vec<PrWatch>),
     /// Resource usage.
     Usage(PrUsage),
-    /// A counter family — all four legacy stats requests plus the
-    /// recorder's decode through this one arm.
+    /// A counter family: every `PIOC*STATS` request decodes through
+    /// this one arm.
     Stats(StatsReport),
     /// A checkpoint image (`PIOCCKPT`).
     Image(Vec<u8>),
@@ -425,163 +339,6 @@ pub enum IoctlPayload {
 }
 
 impl Ioctl {
-    /// Resolves a raw request number.
-    pub fn from_req(req: u32) -> Option<Ioctl> {
-        Some(match req {
-            PIOCSTATUS => Ioctl::Status,
-            PIOCSTOP => Ioctl::Stop,
-            PIOCWSTOP => Ioctl::WStop,
-            PIOCRUN => Ioctl::Run,
-            PIOCSTRACE => Ioctl::SetSigTrace,
-            PIOCGTRACE => Ioctl::GetSigTrace,
-            PIOCSFAULT => Ioctl::SetFltTrace,
-            PIOCGFAULT => Ioctl::GetFltTrace,
-            PIOCSENTRY => Ioctl::SetEntryTrace,
-            PIOCGENTRY => Ioctl::GetEntryTrace,
-            PIOCSEXIT => Ioctl::SetExitTrace,
-            PIOCGEXIT => Ioctl::GetExitTrace,
-            PIOCGREG => Ioctl::GetRegs,
-            PIOCSREG => Ioctl::SetRegs,
-            PIOCGFPREG => Ioctl::GetFpRegs,
-            PIOCSFPREG => Ioctl::SetFpRegs,
-            PIOCNMAP => Ioctl::NMap,
-            PIOCMAP => Ioctl::Map,
-            PIOCOPENM => Ioctl::OpenMapped,
-            PIOCCRED => Ioctl::GetCred,
-            PIOCGROUPS => Ioctl::Groups,
-            PIOCGETPR => Ioctl::GetProc,
-            PIOCGETU => Ioctl::GetUArea,
-            PIOCPSINFO => Ioctl::GetPsInfo,
-            PIOCKILL => Ioctl::Kill,
-            PIOCUNKILL => Ioctl::UnKill,
-            PIOCSSIG => Ioctl::SetSig,
-            PIOCSHOLD => Ioctl::SetHold,
-            PIOCGHOLD => Ioctl::GetHold,
-            PIOCSFORK => Ioctl::SetForkInherit,
-            PIOCRFORK => Ioctl::ClearForkInherit,
-            PIOCSRLC => Ioctl::SetRunOnLastClose,
-            PIOCRRLC => Ioctl::ClearRunOnLastClose,
-            PIOCSWATCH => Ioctl::SetWatch,
-            PIOCGWATCH => Ioctl::GetWatch,
-            PIOCUSAGE => Ioctl::Usage,
-            PIOCNICE => Ioctl::Nice,
-            PIOCCACHESTATS => Ioctl::CacheStats,
-            PIOCKFAULTSTATS => Ioctl::KFaultStats,
-            PIOCXSTATS => Ioctl::XStats,
-            PIOCWIRESTATS => Ioctl::WireCounters,
-            PIOCRECSTATS => Ioctl::RecStats,
-            PIOCCKPT => Ioctl::Ckpt,
-            PIOCRESTORE => Ioctl::Restore,
-            PIOCMIGRATE => Ioctl::Migrate,
-            PIOCMIGSTATS => Ioctl::MigStats,
-            _ => return None,
-        })
-    }
-
-    /// The raw `PIOC*` request number.
-    pub fn req(self) -> u32 {
-        match self {
-            Ioctl::Status => PIOCSTATUS,
-            Ioctl::Stop => PIOCSTOP,
-            Ioctl::WStop => PIOCWSTOP,
-            Ioctl::Run => PIOCRUN,
-            Ioctl::SetSigTrace => PIOCSTRACE,
-            Ioctl::GetSigTrace => PIOCGTRACE,
-            Ioctl::SetFltTrace => PIOCSFAULT,
-            Ioctl::GetFltTrace => PIOCGFAULT,
-            Ioctl::SetEntryTrace => PIOCSENTRY,
-            Ioctl::GetEntryTrace => PIOCGENTRY,
-            Ioctl::SetExitTrace => PIOCSEXIT,
-            Ioctl::GetExitTrace => PIOCGEXIT,
-            Ioctl::GetRegs => PIOCGREG,
-            Ioctl::SetRegs => PIOCSREG,
-            Ioctl::GetFpRegs => PIOCGFPREG,
-            Ioctl::SetFpRegs => PIOCSFPREG,
-            Ioctl::NMap => PIOCNMAP,
-            Ioctl::Map => PIOCMAP,
-            Ioctl::OpenMapped => PIOCOPENM,
-            Ioctl::GetCred => PIOCCRED,
-            Ioctl::Groups => PIOCGROUPS,
-            Ioctl::GetProc => PIOCGETPR,
-            Ioctl::GetUArea => PIOCGETU,
-            Ioctl::GetPsInfo => PIOCPSINFO,
-            Ioctl::Kill => PIOCKILL,
-            Ioctl::UnKill => PIOCUNKILL,
-            Ioctl::SetSig => PIOCSSIG,
-            Ioctl::SetHold => PIOCSHOLD,
-            Ioctl::GetHold => PIOCGHOLD,
-            Ioctl::SetForkInherit => PIOCSFORK,
-            Ioctl::ClearForkInherit => PIOCRFORK,
-            Ioctl::SetRunOnLastClose => PIOCSRLC,
-            Ioctl::ClearRunOnLastClose => PIOCRRLC,
-            Ioctl::SetWatch => PIOCSWATCH,
-            Ioctl::GetWatch => PIOCGWATCH,
-            Ioctl::Usage => PIOCUSAGE,
-            Ioctl::Nice => PIOCNICE,
-            Ioctl::CacheStats => PIOCCACHESTATS,
-            Ioctl::KFaultStats => PIOCKFAULTSTATS,
-            Ioctl::XStats => PIOCXSTATS,
-            Ioctl::WireCounters => PIOCWIRESTATS,
-            Ioctl::RecStats => PIOCRECSTATS,
-            Ioctl::Ckpt => PIOCCKPT,
-            Ioctl::Restore => PIOCRESTORE,
-            Ioctl::Migrate => PIOCMIGRATE,
-            Ioctl::MigStats => PIOCMIGSTATS,
-        }
-    }
-
-    /// Symbolic name (diagnostics and `truss` decoding).
-    pub fn name(self) -> &'static str {
-        match self {
-            Ioctl::Status => "PIOCSTATUS",
-            Ioctl::Stop => "PIOCSTOP",
-            Ioctl::WStop => "PIOCWSTOP",
-            Ioctl::Run => "PIOCRUN",
-            Ioctl::SetSigTrace => "PIOCSTRACE",
-            Ioctl::GetSigTrace => "PIOCGTRACE",
-            Ioctl::SetFltTrace => "PIOCSFAULT",
-            Ioctl::GetFltTrace => "PIOCGFAULT",
-            Ioctl::SetEntryTrace => "PIOCSENTRY",
-            Ioctl::GetEntryTrace => "PIOCGENTRY",
-            Ioctl::SetExitTrace => "PIOCSEXIT",
-            Ioctl::GetExitTrace => "PIOCGEXIT",
-            Ioctl::GetRegs => "PIOCGREG",
-            Ioctl::SetRegs => "PIOCSREG",
-            Ioctl::GetFpRegs => "PIOCGFPREG",
-            Ioctl::SetFpRegs => "PIOCSFPREG",
-            Ioctl::NMap => "PIOCNMAP",
-            Ioctl::Map => "PIOCMAP",
-            Ioctl::OpenMapped => "PIOCOPENM",
-            Ioctl::GetCred => "PIOCCRED",
-            Ioctl::Groups => "PIOCGROUPS",
-            Ioctl::GetProc => "PIOCGETPR",
-            Ioctl::GetUArea => "PIOCGETU",
-            Ioctl::GetPsInfo => "PIOCPSINFO",
-            Ioctl::Kill => "PIOCKILL",
-            Ioctl::UnKill => "PIOCUNKILL",
-            Ioctl::SetSig => "PIOCSSIG",
-            Ioctl::SetHold => "PIOCSHOLD",
-            Ioctl::GetHold => "PIOCGHOLD",
-            Ioctl::SetForkInherit => "PIOCSFORK",
-            Ioctl::ClearForkInherit => "PIOCRFORK",
-            Ioctl::SetRunOnLastClose => "PIOCSRLC",
-            Ioctl::ClearRunOnLastClose => "PIOCRRLC",
-            Ioctl::SetWatch => "PIOCSWATCH",
-            Ioctl::GetWatch => "PIOCGWATCH",
-            Ioctl::Usage => "PIOCUSAGE",
-            Ioctl::Nice => "PIOCNICE",
-            Ioctl::CacheStats => "PIOCCACHESTATS",
-            Ioctl::KFaultStats => "PIOCKFAULTSTATS",
-            Ioctl::XStats => "PIOCXSTATS",
-            Ioctl::WireCounters => "PIOCWIRESTATS",
-            Ioctl::RecStats => "PIOCRECSTATS",
-            Ioctl::Ckpt => "PIOCCKPT",
-            Ioctl::Restore => "PIOCRESTORE",
-            Ioctl::Migrate => "PIOCMIGRATE",
-            Ioctl::MigStats => "PIOCMIGSTATS",
-        }
-    }
-
     /// True if the request modifies process state or behaviour and
     /// therefore requires a descriptor open for writing. "The former are
     /// regarded as 'read/write' operations and the latter as
@@ -758,7 +515,7 @@ impl Ioctl {
                 PrCacheStats::from_bytes(bytes).ok_or(bad)?,
             )),
             Ioctl::KFaultStats => IoctlPayload::Stats(StatsReport::KernelFaults(
-                ksim::kfault::KFaultStats::from_bytes(bytes).map_err(|_| bad)?,
+                ksim::kfault::KFaultStats::from_bytes(bytes).ok_or(bad)?,
             )),
             Ioctl::XStats => IoctlPayload::Stats(StatsReport::Exec(
                 PrXStats::from_bytes(bytes).ok_or(bad)?,

@@ -140,7 +140,7 @@ impl Aout {
             return Err(Errno::ENOEXEC);
         }
         let get_u64 = |pos: &mut usize| -> SysResult<u64> {
-            Ok(crate::bytes::le_u64(take(pos, 8)?))
+            Ok(vfs::bytes::le_u64(take(pos, 8)?))
         };
         let entry = get_u64(&mut pos)?;
         let text_base = get_u64(&mut pos)?;

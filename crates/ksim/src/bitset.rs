@@ -120,7 +120,7 @@ impl<const W: usize> BitSet<W> {
         }
         let mut s = Self::default();
         for (i, chunk) in b.chunks_exact(8).take(W).enumerate() {
-            s.words[i] = crate::bytes::le_u64(chunk);
+            s.words[i] = vfs::bytes::le_u64(chunk);
         }
         s.words[0] &= !1;
         Some(s)

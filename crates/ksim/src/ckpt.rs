@@ -17,7 +17,7 @@
 //! its source (a migrated process cannot, and the checkpoint captures
 //! content, not identity).
 
-use crate::bytes::le_u64;
+use vfs::bytes::le_u64;
 use crate::kernel::Kernel;
 use crate::proc::LwpState;
 use crate::signal::SigSet;

@@ -1,10 +1,10 @@
 //! Unified construction-time configuration for a simulated system.
 //!
-//! PRs 2–7 accreted one-off `System` knobs — `set_fast_path`,
-//! `set_coarse_epochs`, the kernel and wire `FaultPlan` installers,
-//! `with_queue_caps` — each set imperatively at a different point in a
-//! test's setup. [`SimConfig`] collapses them into one declarative value
-//! consumed once at construction ([`crate::System::with_config`]), which
+//! One-off `System` knobs — `set_fast_path`, the kernel and wire
+//! `FaultPlan` installers, `with_queue_caps` — used to be set
+//! imperatively at different points in a test's setup. [`SimConfig`]
+//! collapses them into one declarative value consumed once at
+//! construction ([`crate::System::with_config`]), which
 //! is also exactly what the record/replay subsystem needs: the config is
 //! recorded verbatim at the head of a [`crate::record::Recording`], so
 //! replaying a run starts from a byte-identical machine.
@@ -61,9 +61,6 @@ pub struct SimConfig {
     /// Execution fast path (software TLB + decoded-instruction cache +
     /// superblocks) for every process.
     pub fast_path: bool,
-    /// Bench-only: PR 5's whole-mapping invalidation policy instead of
-    /// per-page text epochs.
-    pub coarse_epochs: bool,
     /// Kernel fault schedule; `None` consumes no generator state.
     pub kernel_faults: Option<KernelFaultSpec>,
     /// Record every nondeterministic input for replay.
@@ -97,7 +94,6 @@ impl Default for SimConfig {
             quantum: 256,
             pump_limit: 1_000_000,
             fast_path: true,
-            coarse_epochs: false,
             kernel_faults: None,
             record: false,
             snapshot_every: 64,
@@ -144,12 +140,6 @@ impl SimConfig {
     /// Turns the execution fast path on or off.
     pub fn fast_path(mut self, on: bool) -> SimConfig {
         self.fast_path = on;
-        self
-    }
-
-    /// Selects the coarse (whole-mapping) invalidation policy.
-    pub fn coarse_epochs(mut self, on: bool) -> SimConfig {
-        self.coarse_epochs = on;
         self
     }
 
@@ -206,7 +196,6 @@ impl SimConfig {
         out.extend_from_slice(&self.quantum.to_le_bytes());
         out.extend_from_slice(&self.pump_limit.to_le_bytes());
         out.push(self.fast_path as u8);
-        out.push(self.coarse_epochs as u8);
         match &self.kernel_faults {
             None => out.push(0),
             Some(f) => {
@@ -258,7 +247,6 @@ impl SimConfig {
             }
         };
         let fast_path = flag(r)?;
-        let coarse_epochs = flag(r)?;
         let kernel_faults = if flag(r)? {
             let seed = r.u64()?;
             let rates = KernelFaultRates {
@@ -299,7 +287,6 @@ impl SimConfig {
             quantum,
             pump_limit,
             fast_path,
-            coarse_epochs,
             kernel_faults,
             record: false,
             snapshot_every,

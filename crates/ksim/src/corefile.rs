@@ -84,10 +84,10 @@ impl Core {
             return Err(Errno::EINVAL);
         }
         let u32_at = |pos: &mut usize| -> SysResult<u32> {
-            Ok(crate::bytes::le_u32(take(pos, 4)?))
+            Ok(vfs::bytes::le_u32(take(pos, 4)?))
         };
         let u64_at = |pos: &mut usize| -> SysResult<u64> {
-            Ok(crate::bytes::le_u64(take(pos, 8)?))
+            Ok(vfs::bytes::le_u64(take(pos, 8)?))
         };
         let pid = u32_at(&mut pos)?;
         let sig = u32_at(&mut pos)?;
@@ -119,7 +119,7 @@ impl Core {
     pub fn stack_word(&self, addr: u64) -> Option<u64> {
         let off = addr.checked_sub(self.stack_base)? as usize;
         let bytes = self.stack.get(off..off + 8)?;
-        Some(crate::bytes::le_u64(bytes))
+        Some(vfs::bytes::le_u64(bytes))
     }
 }
 

@@ -78,67 +78,27 @@ pub struct MigXfer {
     pub done: Option<u32>,
 }
 
-/// Migration protocol counters, marshalled little-endian for
-/// `PIOCMIGSTATS`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigStats {
-    /// Transfers opened by `BEGIN`.
-    pub begins: u64,
-    /// Chunks accepted in sequence.
-    pub chunks: u64,
-    /// Image bytes accepted.
-    pub bytes: u64,
-    /// Duplicate or out-of-order chunks absorbed idempotently.
-    pub dup_chunks: u64,
-    /// Transfers committed (guest materialised).
-    pub commits: u64,
-    /// Transfers dropped by `ABORT`.
-    pub aborts: u64,
-    /// Commits rejected because the received image's digest did not
-    /// match the promised one.
-    pub digest_mismatches: u64,
-    /// `BEGIN`s that resumed an existing transfer after a lost reply.
-    pub resumes: u64,
-}
-
-impl MigStats {
-    /// Byte length of the wire image.
-    pub const WIRE_LEN: usize = 8 * 8;
-
-    /// Serialises to the `PIOCMIGSTATS` wire image.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.begins,
-            self.chunks,
-            self.bytes,
-            self.dup_chunks,
-            self.commits,
-            self.aborts,
-            self.digest_mismatches,
-            self.resumes,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserialises from the wire image; `None` if too short.
-    pub fn from_bytes(b: &[u8]) -> Option<MigStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let w = |i: usize| crate::bytes::le_u64(&b[i * 8..]);
-        Some(MigStats {
-            begins: w(0),
-            chunks: w(1),
-            bytes: w(2),
-            dup_chunks: w(3),
-            commits: w(4),
-            aborts: w(5),
-            digest_mismatches: w(6),
-            resumes: w(7),
-        })
+vfs::counter_family! {
+    /// Migration protocol counters, marshalled little-endian for
+    /// `PIOCMIGSTATS`.
+    pub struct MigStats: "migrate" {
+        /// Transfers opened by `BEGIN`.
+        begins,
+        /// Chunks accepted in sequence.
+        chunks,
+        /// Image bytes accepted.
+        bytes,
+        /// Duplicate or out-of-order chunks absorbed idempotently.
+        dup_chunks,
+        /// Transfers committed (guest materialised).
+        commits,
+        /// Transfers dropped by `ABORT`.
+        aborts,
+        /// Commits rejected because the received image's digest did not
+        /// match the promised one.
+        digest_mismatches,
+        /// `BEGIN`s that resumed an existing transfer after a lost reply.
+        resumes,
     }
 }
 
@@ -228,7 +188,7 @@ impl MigReply {
             return None;
         }
         let errno = i32::from_le_bytes([b[1], b[2], b[3], b[4]]);
-        let u = |i: usize| crate::bytes::le_u64(&b[i..]);
+        let u = |i: usize| vfs::bytes::le_u64(&b[i..]);
         Some(MigReply { status: b[0], errno, next_off: u(5), detail: u(13) })
     }
 }
@@ -403,22 +363,6 @@ mod tests {
         let r = MigReply { status: MIG_ST_ERR, errno: Errno::EIO as i32, next_off: 7, detail: 9 };
         assert_eq!(MigReply::from_bytes(&r.to_bytes()), Some(r));
         assert_eq!(MigReply::from_bytes(&[0u8; MIG_REPLY_LEN - 1]), None);
-    }
-
-    #[test]
-    fn mig_stats_roundtrip() {
-        let st = MigStats {
-            begins: 1,
-            chunks: 2,
-            bytes: 3,
-            dup_chunks: 4,
-            commits: 5,
-            aborts: 6,
-            digest_mismatches: 7,
-            resumes: 8,
-        };
-        assert_eq!(MigStats::from_bytes(&st.to_bytes()), Some(st));
-        assert!(MigStats::from_bytes(&[0u8; 8]).is_none());
     }
 
     #[test]

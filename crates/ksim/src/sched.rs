@@ -323,8 +323,8 @@ impl Kernel {
             return false;
         }
         let l = &mut proc.lwps[lwp_idx];
-        l.gregs.pc = crate::bytes::le_u64(&frame[0..8]);
-        l.gregs.psr = crate::bytes::le_u64(&frame[8..16]);
+        l.gregs.pc = vfs::bytes::le_u64(&frame[0..8]);
+        l.gregs.psr = vfs::bytes::le_u64(&frame[8..16]);
         let Some(held) = SigSet::from_bytes(&frame[16..32]) else {
             return false;
         };

@@ -527,7 +527,7 @@ impl System {
         let mut argv = Vec::new();
         for i in 0..MAX_ARGS as u64 {
             let p = self.copyin(pid, addr + i * 8, 8)?;
-            let ptr = crate::bytes::le_u64(&p);
+            let ptr = vfs::bytes::le_u64(&p);
             if ptr == 0 {
                 return Ok(argv);
             }
@@ -684,8 +684,8 @@ impl System {
         let mut out = raw.clone();
         let mut ready = 0u64;
         for i in 0..n {
-            let fd = crate::bytes::le_u64(&raw[i * 12..i * 12 + 8]) as usize;
-            let events = crate::bytes::le_u16(&raw[i * 12 + 8..i * 12 + 10]);
+            let fd = vfs::bytes::le_u64(&raw[i * 12..i * 12 + 8]) as usize;
+            let events = vfs::bytes::le_u16(&raw[i * 12 + 8..i * 12 + 10]);
             let st = match self.poll_fd(pid, fd) {
                 Ok(s) => s,
                 Err(_) => {

@@ -128,7 +128,6 @@ impl System {
     pub fn with_config(cfg: SimConfig) -> System {
         let mut kernel = Kernel::new();
         kernel.fast_path = cfg.fast_path;
-        kernel.coarse_epochs = cfg.coarse_epochs;
         let mut sys = System {
             kernel,
             fss: vec![FsSlot::Mem(vfs::MemFs::new())],

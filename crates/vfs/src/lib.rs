@@ -33,6 +33,7 @@
 // in per-module.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod bytes;
 pub mod cred;
 pub mod errno;
 pub mod fs;

@@ -121,140 +121,66 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// descriptor, mirroring `PIOCCACHESTATS`.
 pub const PIOCWIRESTATS: u32 = 0x5030;
 
-/// Traffic, fault, recovery and server-side load counters for the
-/// simulated wire. The first fourteen fields are the PR 2/3 layout;
-/// the rest are the server counters (sessions, shedding, queue
-/// high-water marks, churn) grown for the readiness-loop server.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Remote operations performed.
-    pub ops: u64,
-    /// Request bytes sent client to server (framed, including retries).
-    pub bytes_sent: u64,
-    /// Response bytes sent server to client (framed).
-    pub bytes_received: u64,
-    /// ioctl requests refused because no wire specification exists.
-    pub unsupported_ioctls: u64,
-    /// Request frames transmitted (one per attempt).
-    pub frames_sent: u64,
-    /// Frames the network dropped.
-    pub drops: u64,
-    /// Frames the network truncated.
-    pub truncations: u64,
-    /// Frames the network bit-flipped.
-    pub bitflips: u64,
-    /// Frames the network duplicated.
-    pub duplicates: u64,
-    /// Frames the network delayed by [`LATE_TICKS`].
-    pub delays: u64,
-    /// Damaged frames rejected by the length/CRC check (either side).
-    pub checksum_rejects: u64,
-    /// Attempts beyond the first (client resends).
-    pub retries: u64,
-    /// Re-executed sequenced requests answered from the dedup window.
-    pub dedup_hits: u64,
-    /// Operations that exhausted their retry budget (`ETIMEDOUT`).
-    pub timeouts: u64,
-    /// Client sessions opened (the blocking mount face is not counted).
-    pub sessions_opened: u64,
-    /// Sessions evicted by the shedding policy.
-    pub sessions_evicted: u64,
-    /// Frames shed at a full queue or a dead link.
-    pub frames_shed: u64,
-    /// High-water mark across all inbound queues, in bytes.
-    pub in_queue_hwm: u64,
-    /// High-water mark across all outbound queues, in bytes.
-    pub out_queue_hwm: u64,
-    /// Connection-churn events (disconnects, reconnects, hangups).
-    pub churn_events: u64,
-    /// Junk bytes skipped while resynchronising to a frame magic.
-    pub resync_bytes: u64,
-    /// Stale sequenced frames replayed after a reconnect.
-    pub stale_replays: u64,
-    /// Submissions rejected with `EAGAIN` (session gone or
-    /// [`INFLIGHT_CAP`] reached).
-    pub eagain_rejected: u64,
-    /// Adversarial frame-flood bursts injected.
-    pub floods: u64,
+crate::counter_family! {
+    /// Traffic, fault, recovery and server-side load counters for the
+    /// simulated wire, `PIOCWIRESTATS`'s reply. The first fourteen fields
+    /// count client traffic, faults and recovery; the rest are the server
+    /// counters (sessions, shedding, queue high-water marks, churn) grown
+    /// for the readiness-loop server.
+    pub struct WireStats: "wire" {
+        /// Remote operations performed.
+        ops,
+        /// Request bytes sent client to server (framed, including retries).
+        bytes_sent,
+        /// Response bytes sent server to client (framed).
+        bytes_received,
+        /// ioctl requests refused because no wire specification exists.
+        unsupported_ioctls,
+        /// Request frames transmitted (one per attempt).
+        frames_sent,
+        /// Frames the network dropped.
+        drops,
+        /// Frames the network truncated.
+        truncations,
+        /// Frames the network bit-flipped.
+        bitflips,
+        /// Frames the network duplicated.
+        duplicates,
+        /// Frames the network delayed by [`LATE_TICKS`].
+        delays,
+        /// Damaged frames rejected by the length/CRC check (either side).
+        checksum_rejects,
+        /// Attempts beyond the first (client resends).
+        retries,
+        /// Re-executed sequenced requests answered from the dedup window.
+        dedup_hits,
+        /// Operations that exhausted their retry budget (`ETIMEDOUT`).
+        timeouts,
+        /// Client sessions opened (the blocking mount face is not counted).
+        sessions_opened,
+        /// Sessions evicted by the shedding policy.
+        sessions_evicted,
+        /// Frames shed at a full queue or a dead link.
+        frames_shed,
+        /// High-water mark across all inbound queues, in bytes.
+        in_queue_hwm,
+        /// High-water mark across all outbound queues, in bytes.
+        out_queue_hwm,
+        /// Connection-churn events (disconnects, reconnects, hangups).
+        churn_events,
+        /// Junk bytes skipped while resynchronising to a frame magic.
+        resync_bytes,
+        /// Stale sequenced frames replayed after a reconnect.
+        stale_replays,
+        /// Submissions rejected with `EAGAIN` (session gone or
+        /// [`INFLIGHT_CAP`] reached).
+        eagain_rejected,
+        /// Adversarial frame-flood bursts injected.
+        floods,
+    }
 }
 
 impl WireStats {
-    /// Encoded length of the wire image.
-    pub const WIRE_LEN: usize = 24 * 8;
-
-    /// Serialises, `PIOCWIRESTATS`'s reply format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::WIRE_LEN);
-        for v in [
-            self.ops,
-            self.bytes_sent,
-            self.bytes_received,
-            self.unsupported_ioctls,
-            self.frames_sent,
-            self.drops,
-            self.truncations,
-            self.bitflips,
-            self.duplicates,
-            self.delays,
-            self.checksum_rejects,
-            self.retries,
-            self.dedup_hits,
-            self.timeouts,
-            self.sessions_opened,
-            self.sessions_evicted,
-            self.frames_shed,
-            self.in_queue_hwm,
-            self.out_queue_hwm,
-            self.churn_events,
-            self.resync_bytes,
-            self.stale_replays,
-            self.eagain_rejected,
-            self.floods,
-        ] {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        b
-    }
-
-    /// Deserialises a `PIOCWIRESTATS` reply.
-    pub fn from_bytes(b: &[u8]) -> Option<WireStats> {
-        if b.len() < Self::WIRE_LEN {
-            return None;
-        }
-        let at = |o: usize| {
-            b.get(o..o + 8)
-                .and_then(|s| s.try_into().ok())
-                .map(u64::from_le_bytes)
-                .unwrap_or(0)
-        };
-        Some(WireStats {
-            ops: at(0),
-            bytes_sent: at(8),
-            bytes_received: at(16),
-            unsupported_ioctls: at(24),
-            frames_sent: at(32),
-            drops: at(40),
-            truncations: at(48),
-            bitflips: at(56),
-            duplicates: at(64),
-            delays: at(72),
-            checksum_rejects: at(80),
-            retries: at(88),
-            dedup_hits: at(96),
-            timeouts: at(104),
-            sessions_opened: at(112),
-            sessions_evicted: at(120),
-            frames_shed: at(128),
-            in_queue_hwm: at(136),
-            out_queue_hwm: at(144),
-            churn_events: at(152),
-            resync_bytes: at(160),
-            stale_replays: at(168),
-            eagain_rejected: at(176),
-            floods: at(184),
-        })
-    }
-
     /// Total frames the fault plan perturbed in any way.
     pub fn faults_injected(&self) -> u64 {
         self.drops + self.truncations + self.bitflips + self.duplicates + self.delays
@@ -766,6 +692,83 @@ impl<'a> WireReader<'a> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
+}
+
+/// Declares a counter family: a struct of `u64` counters answered by one
+/// `PIOC*STATS` request with a fixed little-endian image. The ordered
+/// field list is the only place the family's counters are written down;
+/// from it the macro emits
+///
+/// * the struct, every field `pub u64`, deriving `Clone, Copy, Debug,
+///   Default, PartialEq, Eq`;
+/// * `FAMILY`, the short name tools print counters under;
+/// * `NAMES`, the counter names in wire order, and `WIRE_LEN`, eight
+///   bytes per counter;
+/// * `to_bytes`, one little-endian `u64` per field in list order;
+/// * `from_bytes`, which rejects any image whose length is not
+///   `WIRE_LEN`;
+/// * `counters`, every `(name, value)` pair in wire order.
+///
+/// ```
+/// vfs::counter_family! {
+///     /// Example counters.
+///     pub struct DemoStats: "demo" {
+///         /// Things seen.
+///         seen,
+///         /// Things dropped.
+///         dropped,
+///     }
+/// }
+/// let s = DemoStats { seen: 1, dropped: 2 };
+/// assert_eq!(DemoStats::WIRE_LEN, 16);
+/// assert_eq!(DemoStats::from_bytes(&s.to_bytes()), Some(s));
+/// assert_eq!(DemoStats::from_bytes(&[0; 15]), None);
+/// assert_eq!(s.counters(), vec![("seen", 1), ("dropped", 2)]);
+/// ```
+#[macro_export]
+macro_rules! counter_family {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident: $family:literal {
+            $( $(#[$fmeta:meta])* $field:ident ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )+
+        }
+
+        impl $name {
+            /// Short family name: the prefix of every rendered counter.
+            pub const FAMILY: &'static str = $family;
+            /// Counter names, in wire order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($field)),+];
+            /// Encoded length: one little-endian `u64` per counter.
+            pub const WIRE_LEN: usize = 8 * Self::NAMES.len();
+
+            /// Serialises the counters in wire order.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                let mut b = Vec::with_capacity(Self::WIRE_LEN);
+                $( b.extend_from_slice(&self.$field.to_le_bytes()); )+
+                b
+            }
+
+            /// Deserialises; `None` unless `b` is exactly `WIRE_LEN` bytes.
+            pub fn from_bytes(b: &[u8]) -> Option<$name> {
+                if b.len() != Self::WIRE_LEN {
+                    return None;
+                }
+                let mut words = b.chunks_exact(8).map($crate::bytes::le_u64);
+                Some($name { $( $field: words.next()?, )+ })
+            }
+
+            /// Every counter as a `(name, value)` pair, in wire order.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$( (stringify!($field), self.$field) ),+]
+            }
+        }
+    };
 }
 
 fn cred_wire(w: Wire, c: &Cred) -> Wire {
@@ -2659,24 +2662,6 @@ mod tests {
         for keep in 0..frame.len() {
             assert!(decode_frame(&frame[..keep]).is_err(), "cut at {keep} slipped through");
         }
-    }
-
-    #[test]
-    fn wirestats_roundtrip() {
-        let s = WireStats {
-            ops: 7,
-            drops: 3,
-            dedup_hits: 11,
-            timeouts: 1,
-            sessions_evicted: 2,
-            frames_shed: 5,
-            stale_replays: 4,
-            ..Default::default()
-        };
-        let b = s.to_bytes();
-        assert_eq!(b.len(), WireStats::WIRE_LEN);
-        assert_eq!(WireStats::from_bytes(&b), Some(s));
-        assert_eq!(WireStats::from_bytes(&b[..10]), None);
     }
 
     #[test]

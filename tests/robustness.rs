@@ -529,8 +529,9 @@ fn recfile_single_bit_flips_are_always_detected() {
 }
 
 /// Structured header damage gets the precise error, not a generic one:
-/// wrong magic is `BadMagic`, an unknown version is `BadVersion`, and a
-/// corrupted config region is the header checksum failing (segment 0).
+/// wrong magic is `BadMagic`, an unknown or superseded version is
+/// `BadVersion`, and a corrupted config region is the header checksum
+/// failing (segment 0).
 #[test]
 fn recfile_header_damage_is_precisely_typed() {
     let (bytes, _) = small_recfile();
@@ -542,6 +543,12 @@ fn recfile_header_damage_is_precisely_typed() {
     let mut version = bytes.clone();
     version[8] = 0xEE; // version u32 lives right after the 8-byte magic
     assert!(matches!(recfile::load(&version), Err(RecfileError::BadVersion(_))));
+
+    // A version-2 image carries a config layout this build no longer
+    // parses; it is refused by version, before the config is read.
+    let mut v2 = bytes.clone();
+    v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(recfile::load(&v2), Err(RecfileError::BadVersion(2))));
 
     let mut config = bytes.clone();
     config[17] ^= 0x10; // inside the encoded SimConfig
