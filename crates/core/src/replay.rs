@@ -15,21 +15,42 @@
 //!   can keep recording seamlessly from wherever it landed.
 //! * [`goto_tick`] re-materializes a *live* recorded system at an
 //!   earlier position: restore the nearest copy-on-write snapshot at or
-//!   below the target and replay the remainder. Remote mounts take the
-//!   fast path too — their wire-session state (sequence numbers,
-//!   fault-generator position, queues) travels in the snapshot's
-//!   [`Snap::wires`] bank and is replanted into the freshly built
-//!   [`RemoteFs`]. The full rebuild remains the fallback when the
-//!   resumed run diverges (file-system-layer state such as cache
-//!   counters is not snapshotted — a divergence there is honest, and
-//!   the full rebuild is always exact).
+//!   below the target and replay the remainder, reading the live log in
+//!   place. Remote mounts take the fast path too — their wire-session
+//!   state (sequence numbers, fault-generator position, queues) travels
+//!   in the snapshot's [`Snap::wires`] bank and is replanted into the
+//!   freshly built [`RemoteFs`]. The full rebuild remains the fallback
+//!   when the resumed run diverges (file-system-layer state such as
+//!   cache counters is not snapshotted — a divergence there is honest,
+//!   and the full rebuild is always exact); the rebuilt system's
+//!   `divergences` counter records that it happened.
 //! * [`replay_file`] closes the durability loop: a recfile image saved
 //!   by one process ([`ksim::recfile`]) parses, replays byte-identically
 //!   and re-banks its snapshots in a fresh one.
+//!
+//! ## What a snapshot carries
+//!
+//! A [`Snap`] at position `p` holds the machine after the first `p`
+//! records: a copy-on-write clone of the whole [`ksim::Kernel`] except
+//! its recorder — processes and their LWPs, open files, pipes, objects,
+//! clock, event log, generation counters, image cache, fault plan and
+//! generator, migrations, deadline heap, and both scheduler cursors
+//! (`sched_rounds` for the gang round, `run_cursor` for the legacy
+//! `shards = 0` engine) — plus the root memfs and the wire banks. The
+//! `/proc` faces are views over the kernel and are rebuilt fresh.
+//!
+//! Digests cannot prove a snapshot complete. A `Steps` record folds
+//! only each step's progress bit and the clock, and the clock counts
+//! retired instructions machine-wide, so a resume that picks the wrong
+//! LWP can match every digest and still land on another state. The
+//! landing oracle in `tests/record_replay.rs` catches exactly that: it
+//! compares each snapshot landing with [`replay_to`] at the same
+//! position, LWP by LWP.
 
 use ksim::record::Snap;
 use ksim::{
-    FsSlot, Input, MountPlan, Pid, Recorder, Recording, ReplayDivergence, SimConfig, System,
+    FsSlot, Input, MountPlan, Pid, Record, Recorder, Recording, ReplayDivergence, SimConfig,
+    System,
 };
 use vfs::remote::RemoteFs;
 
@@ -120,45 +141,44 @@ fn apply(sys: &mut System, input: &Input) {
     }
 }
 
-/// Applies records `from..to` of `rec` to `sys` (which must hold the
-/// first `from` records in its own log), comparing each re-computed
-/// digest against the original. The first mismatch is returned as a
-/// typed divergence at its exact tick and counted on the recorder.
-fn apply_range(
-    sys: &mut System,
-    rec: &Recording,
-    from: usize,
-    to: usize,
-) -> Result<(), ReplayDivergence> {
-    for i in from..to {
-        apply(sys, &rec.records[i].input);
+/// Applies `records[from..]` to `sys` (which must hold the first
+/// `from` records in its own log), comparing each re-computed digest
+/// against the original. The first mismatch is returned as a typed
+/// divergence at its exact tick and counted on the recorder.
+fn apply_range(sys: &mut System, records: &[Record], from: usize) -> Result<(), ReplayDivergence> {
+    for (i, rec) in records.iter().enumerate().skip(from) {
+        apply(sys, &rec.input);
         let got = sys
             .kernel
             .recorder
             .as_ref()
             .and_then(|r| r.records.get(i))
             .map(|r| r.digest);
-        let expected = rec.records[i].digest;
         if let Some(r) = sys.kernel.recorder.as_mut() {
             r.stats.replays += 1;
         }
-        if got != Some(expected) {
+        if got != Some(rec.digest) {
             if let Some(r) = sys.kernel.recorder.as_mut() {
                 r.stats.divergences += 1;
             }
-            return Err(ReplayDivergence { tick: i, expected, got: got.unwrap_or(0) });
+            return Err(ReplayDivergence { tick: i, expected: rec.digest, got: got.unwrap_or(0) });
         }
     }
     Ok(())
+}
+
+/// Replays all of `records` into a system freshly built from `config`.
+fn rebuild(config: &SimConfig, records: &[Record]) -> Result<System, ReplayDivergence> {
+    let mut sys = build_sim(config);
+    apply_range(&mut sys, records, 0)?;
+    Ok(sys)
 }
 
 /// Replays the first `k` records of `rec` into a freshly built system.
 /// On success the returned system's own log equals the applied prefix,
 /// and recording continues from there.
 pub fn replay_to(rec: &Recording, k: usize) -> Result<System, ReplayDivergence> {
-    let mut sys = build_sim(&rec.config);
-    apply_range(&mut sys, rec, 0, k.min(rec.len()))?;
-    Ok(sys)
+    rebuild(&rec.config, &rec.records[..k.min(rec.len())])
 }
 
 /// Replays `rec` in full. Byte-identical reproduction or a typed
@@ -171,11 +191,16 @@ pub fn replay(rec: &Recording) -> Result<System, ReplayDivergence> {
 /// [`build_sim`], the snapshot's kernel and root file system
 /// transplanted in, the banked wire-transport state replanted into the
 /// remote mounts, a recorder pre-loaded with the applied prefix, then
-/// records `snap.pos..k` replayed on top. `None` when the snapshot
-/// cannot be applied to this config's mounts (the full rebuild is the
-/// caller's fallback).
-fn resume_from_snap(rec: &Recording, snap: &Snap, k: usize) -> Option<System> {
-    let mut sys = build_sim(&rec.config);
+/// `records[snap.pos..]` replayed on top. `None` when the snapshot
+/// cannot be applied to this config's mounts; `Some(Err(_))` when the
+/// resumed run diverged. The full rebuild is the caller's fallback for
+/// both.
+fn resume_from_snap(
+    config: &SimConfig,
+    records: &[Record],
+    snap: &Snap,
+) -> Option<Result<System, ReplayDivergence>> {
+    let mut sys = build_sim(config);
     sys.kernel = (*snap.kernel).clone();
     sys.fss[0] = FsSlot::Mem(snap.root.clone());
     // Every wire-carrying slot must have banked state in the snapshot
@@ -191,12 +216,11 @@ fn resume_from_snap(rec: &Recording, snap: &Snap, k: usize) -> Option<System> {
             return None;
         }
     }
-    let mut r = Recorder::new(rec.config.clone());
-    r.records = rec.records[..snap.pos].to_vec();
+    let mut r = Recorder::new(config.clone());
+    r.records = records[..snap.pos].to_vec();
     r.stats.restores = 1;
     sys.kernel.recorder = Some(Box::new(r));
-    apply_range(&mut sys, rec, snap.pos, k).ok()?;
-    Some(sys)
+    Some(apply_range(&mut sys, records, snap.pos).map(|()| sys))
 }
 
 /// Re-materializes the run recorded by `sys` at position `k` (clamped
@@ -204,24 +228,33 @@ fn resume_from_snap(rec: &Recording, snap: &Snap, k: usize) -> Option<System> {
 /// when possible — including over remote mounts, whose transport state
 /// rides in the snapshot — full rebuild otherwise. The returned system
 /// is *live*: it records, so stepping it forward extends its log from
-/// tick `k`.
+/// tick `k`. A resume that diverged before the rebuild took over is
+/// counted in the rebuilt system's `divergences`, so `PIOCRECSTATS`
+/// tells "diverged, rebuilt" (`restores == 0`, `divergences > 0`) apart
+/// from "no snapshot yet" (both 0).
 pub fn goto_tick(sys: &System, k: usize) -> Result<System, ReplayDivergence> {
     let Some(rec) = sys.kernel.recorder.as_ref() else {
         return Ok(build_sim(&SimConfig::new().record(true)));
     };
-    let recording = rec.recording();
-    let k = k.min(recording.len());
-    if let Some(snap) = rec.nearest_snap(k) {
-        if snap.pos > 0 {
-            // A failed resume (divergence from non-snapshotted
-            // file-system-layer state, or a mount-shape mismatch) falls
-            // through to the full rebuild, which is always exact.
-            if let Some(restored) = resume_from_snap(&recording, snap, k) {
-                return Ok(restored);
-            }
+    // The live log is borrowed, never cloned: a jump copies only the
+    // prefix a resumed recorder must hold.
+    let records = &rec.records[..k.min(rec.records.len())];
+    let mut diverged = 0;
+    if let Some(snap) = rec.nearest_snap(records.len()).filter(|s| s.pos > 0) {
+        // A failed resume (divergence from non-snapshotted
+        // file-system-layer state, or a mount-shape mismatch) falls
+        // through to the full rebuild, which is always exact.
+        match resume_from_snap(&rec.config, records, snap) {
+            Some(Ok(restored)) => return Ok(restored),
+            Some(Err(_)) => diverged = 1,
+            None => {}
         }
     }
-    replay_to(&recording, k)
+    let mut rebuilt = rebuild(&rec.config, records)?;
+    if let Some(r) = rebuilt.kernel.recorder.as_mut() {
+        r.stats.divergences += diverged;
+    }
+    Ok(rebuilt)
 }
 
 /// Why a recfile image failed to become a live system.

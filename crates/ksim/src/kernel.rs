@@ -99,6 +99,11 @@ pub struct Kernel {
     /// permutation of the sharded engine and rotates LWP selection, so
     /// it must travel with snapshots to keep `goto_tick` deterministic.
     pub sched_rounds: u64,
+    /// Round-robin cursor of the legacy (`shards = 0`) engine's LWP
+    /// selection. Like `sched_rounds` it is state the input history
+    /// determines, so it travels with snapshots: a restore without it
+    /// resumes on the wrong LWP.
+    pub run_cursor: usize,
 }
 
 // A manual impl so `clone()` *is* the copy-on-write snapshot operation:
@@ -127,6 +132,7 @@ impl Clone for Kernel {
             mig_stats: self.mig_stats,
             deadlines: self.deadlines.clone(),
             sched_rounds: self.sched_rounds,
+            run_cursor: self.run_cursor,
         }
     }
 }

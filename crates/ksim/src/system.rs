@@ -77,7 +77,6 @@ pub struct System {
     /// Path-prefix mount table.
     pub mounts: MountTable,
     cpu: Cpu,
-    run_cursor: usize,
     /// Instructions per scheduling quantum.
     pub quantum: u64,
     /// Idle-step limit for hosted blocking calls before `EDEADLK`.
@@ -133,7 +132,6 @@ impl System {
             fss: vec![FsSlot::Mem(vfs::MemFs::new())],
             mounts: MountTable::new(),
             cpu: Cpu::new(),
-            run_cursor: 0,
             quantum: cfg.quantum,
             pump_limit: cfg.pump_limit,
             shards: cfg.shards,
@@ -529,8 +527,8 @@ impl System {
         if candidates.is_empty() {
             return None;
         }
-        let pick = candidates[self.run_cursor % candidates.len()];
-        self.run_cursor = self.run_cursor.wrapping_add(1);
+        let pick = candidates[self.kernel.run_cursor % candidates.len()];
+        self.kernel.run_cursor = self.kernel.run_cursor.wrapping_add(1);
         Some(pick)
     }
 

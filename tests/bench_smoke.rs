@@ -20,9 +20,27 @@
 //!   bounded re-sends on top of the loss-free chunk floor, and the
 //!   durable recfile round trip must parse strictly cheaper than the
 //!   full cross-process rebuild (`BENCH_E15.json`).
+//!
+//! Only an optimised build writes the `BENCH_*.json` files
+//! (`cargo bench-smoke --release`); a debug run checks every gate and
+//! writes nothing.
 
 use bench_support::FastPathPoint;
 use std::fmt::Write as _;
+use std::path::PathBuf;
+
+/// Writes one `BENCH_*.json` at the package root, found at run time
+/// (cargo sets `CARGO_MANIFEST_DIR` for the tests it runs; the working
+/// directory otherwise). A debug build writes nothing: its timings are
+/// no perf trajectory.
+fn emit(name: &str, json: &str) {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let root = std::env::var_os("CARGO_MANIFEST_DIR").map_or_else(|| ".".into(), PathBuf::from);
+    let out = root.join(name);
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+}
 
 #[test]
 fn pipelining_beats_serial_at_smoke_scale() {
@@ -119,8 +137,7 @@ fn wire_server_scales_to_a_thousand_sessions() {
         "{{\n  \"experiment\": \"E5d\",\n  \"title\": \"wire server client-count sweep, clean vs. adversarial\",\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"seed\": {SEED},\n  \"queue_cap\": {QUEUE_CAP},\n  \"points\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_E5D.json");
-    std::fs::write(out, &json).expect("write BENCH_E5D.json");
+    emit("BENCH_E5D.json", &json);
 }
 
 /// Renders one E13 point as a JSON object (hand-rolled: the workspace
@@ -229,8 +246,7 @@ fn fast_path_doubles_hot_loop_throughput() {
         dense_json(&dense),
         bench_support::DENSE_LOOP_BLOCKS,
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_E13.json");
-    std::fs::write(out, &json).expect("write BENCH_E13.json");
+    emit("BENCH_E13.json", &json);
 
     // The acceptance bar: ≥ 2× insns/sec on the hot loop. The margin is
     // wide — the fast path skips both the mapping binary search and the
@@ -327,8 +343,7 @@ fn record_replay_time_travel_is_cheap() {
         on.snapshots,
         points.iter().map(goto_json).collect::<Vec<_>>().join(",\n"),
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_E14.json");
-    std::fs::write(out, &json).expect("write BENCH_E14.json");
+    emit("BENCH_E14.json", &json);
 }
 
 /// Renders one E15 migration point as a JSON object.
@@ -404,8 +419,7 @@ fn migration_and_recfile_durability_are_cheap() {
         rf.load_ns,
         rf.replay_ns,
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_E15.json");
-    std::fs::write(out, &json).expect("write BENCH_E15.json");
+    emit("BENCH_E15.json", &json);
 }
 
 /// Renders one E16 point as a JSON object.
@@ -465,8 +479,7 @@ fn sharded_engine_is_deterministic_and_scales() {
         spin.iter().map(|p| shard_json("spin-farm", p)).collect::<Vec<_>>().join(",\n"),
         pipe.iter().map(|p| shard_json("pipe-farm", p)).collect::<Vec<_>>().join(",\n"),
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_E16.json");
-    std::fs::write(out, &json).expect("write BENCH_E16.json");
+    emit("BENCH_E16.json", &json);
 
     // The scaling bar only means something when the host has cores to
     // scale onto; the shipped CI container is single-core, so the gate

@@ -8,7 +8,7 @@
 //! active kernel-fault and wire-fault plans: the fault draws are
 //! functions of recorded seeds and recorded call order, nothing else.
 //!
-//! Three gates:
+//! The gates:
 //!  * a 32-seed record-then-replay oracle with kernel faults and an
 //!    adversarial remote `/proc` mount both live — replayed logs must
 //!    equal the originals record-for-record;
@@ -17,7 +17,11 @@
 //!  * a `PIOCCKPT`/`PIOCRESTORE` round-trip over the faulted remote
 //!    mount — restore rewinds the guest's register file to the
 //!    checkpointed state even though every wire frame in between was
-//!    subject to the fault plan.
+//!    subject to the fault plan;
+//!  * `goto_tick` navigation — over a remote mount it takes the
+//!    snapshot fast path, and every landing past the first snapshot
+//!    resumes from it and equals a full replay LWP by LWP (digests
+//!    alone cannot show a snapshot is complete).
 
 use ksim::{Cred, KernelFaultRates, MountPlan, Pid, SimConfig, SysResult, System};
 use tools::proc_io::ProcHandle;
@@ -264,4 +268,76 @@ fn goto_tick_over_remote_mount_takes_the_snapshot_fast_path() {
         sys.recording().expect("recording on").records[..k],
         "fast-path navigation diverged from the log prefix"
     );
+}
+
+/// What a landing must reproduce: the clock, plus every LWP's retired
+/// instruction count and register file, per process. A `Steps` digest
+/// folds only the progress bit and the clock, so it cannot tell which
+/// LWP ran; this is the state that can.
+type Landing = (u64, Vec<(u32, Vec<(u32, u64, isa::GregSet)>)>);
+
+fn landing(sys: &System) -> Landing {
+    let procs = sys
+        .kernel
+        .procs
+        .values()
+        .map(|p| (p.pid.0, p.lwps.iter().map(|l| (l.tid.0, l.insns, l.gregs.clone())).collect()))
+        .collect();
+    (sys.kernel.clock, procs)
+}
+
+/// The landing oracle: with two spinning guests, a cruncher and a
+/// two-LWP guest all runnable, every `goto_tick` past the first snapshot must resume from
+/// a snapshot (`restores == 1`, no divergence) and land exactly where a
+/// full replay of the same prefix lands. The scheduler's own cursors
+/// (`sched_rounds` for the gang round, `run_cursor` for the legacy
+/// engine) decide which LWP runs next, so a snapshot that missed one
+/// would either diverge and rebuild or — when the clock happens to
+/// match — land on the wrong LWP with every digest intact. Checked at
+/// the legacy engine and at two gang-round shard counts.
+#[test]
+fn goto_tick_lands_where_a_full_replay_lands() {
+    const SNAP_EVERY: usize = 16;
+    for shards in [0u32, 1, 2] {
+        let mut sys = tools::boot_demo_cfg(
+            SimConfig::standard().record(true).snapshot_every(SNAP_EVERY).shards(shards),
+        );
+        let ctl = sys.spawn_hosted("rr-landing", Cred::superuser());
+        let mut guests = Vec::new();
+        for path in ["/bin/spin", "/bin/spin", "/bin/cruncher", "/bin/threaded"] {
+            guests.push(sys.spawn_program(ctl, path, &["guest"]).expect("spawn guest"));
+        }
+        // Steps broken up by host reads, so that snapshots fall between
+        // runs of steps with the guests mid-rotation.
+        for i in 0..24u64 {
+            sys.run_idle(5 + (i * 7) % 11);
+            let pid = guests[i as usize % guests.len()];
+            let fd = sys
+                .host_open(ctl, &format!("/proc/{:05}", pid.0), OFlags::rdonly())
+                .expect("open guest");
+            let mut buf = [0u8; 64];
+            let _ = sys.host_read(ctl, fd, &mut buf);
+            sys.host_close(ctl, fd).expect("close guest");
+        }
+        let rec = sys.recording().expect("recording on");
+        assert!(rec.len() > 6 * SNAP_EVERY, "shards={shards}: log too short ({})", rec.len());
+        let mut jumps = 0;
+        for k in (SNAP_EVERY..=rec.len()).step_by(3) {
+            let landed = procfs::goto_tick(&sys, k).expect("goto_tick");
+            let stats = landed.kernel.rec_stats();
+            assert_eq!(
+                (stats.restores, stats.divergences),
+                (1, 0),
+                "shards={shards} k={k}: did not resume from its snapshot: {stats:?}"
+            );
+            let want = procfs::replay_to(&rec, k).expect("full replay");
+            assert!(
+                landing(&landed) == landing(&want),
+                "shards={shards} k={k}: snapshot resume landed on another state than a full \
+                 replay"
+            );
+            jumps += 1;
+        }
+        assert!(jumps > 30, "shards={shards}: only {jumps} jumps sampled");
+    }
 }
